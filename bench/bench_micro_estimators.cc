@@ -1,14 +1,18 @@
 // Micro-benchmarks (google-benchmark): per-query cost of each estimator at
 // fixed K on the LastFM analogue, plus the core primitives (possible-world
-// sampling, BFS Sharing bit-vector propagation, ProbTree query-graph
-// extraction). Complements the table benches with tight per-op numbers.
+// sampling, BFS Sharing's per-query world resampling and its word fill,
+// hop distances). Complements the table benches with tight per-op numbers.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/bitvector.h"
 #include "common/rng.h"
 #include "eval/query_gen.h"
 #include "graph/datasets.h"
 #include "graph/possible_world.h"
+#include "reliability/bfs_sharing.h"
 #include "reliability/estimator_factory.h"
 
 namespace relcomp {
@@ -95,6 +99,50 @@ void BM_HopDistances(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HopDistances);
+
+// BFS Sharing's inter-query resample on LastFM small at L = 1500: the
+// serving path's dominant per-query cost.
+void BM_BfsPrepare(benchmark::State& state) {
+  static const Dataset* dataset = new Dataset(
+      MakeDataset(DatasetId::kLastFm, Scale::kSmall, 42).MoveValue());
+  BfsSharingOptions options;
+  options.index_samples = 1500;
+  auto estimator = BfsSharingEstimator::Create(dataset->graph, options, 1);
+  if (!estimator.ok()) {
+    state.SkipWithError(estimator.status().ToString().c_str());
+    return;
+  }
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    const Status status = (*estimator)->PrepareForNextQuery(++seed);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+  }
+  state.counters["edges_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * dataset->graph.num_edges()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BfsPrepare)->Unit(benchmark::kMillisecond);
+
+// One edge's L = 1500 worlds: the geometric-skip path (p < 0.25) and the
+// per-bit dense path.
+void BM_FillBernoulliWords(benchmark::State& state, double p) {
+  constexpr size_t kBits = 1500;
+  std::vector<uint64_t> words((kBits + 63) / 64);
+  Rng rng(3);
+  for (auto _ : state) {
+    BitVector::FillBernoulliWords(words.data(), kBits, p, rng);
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["bits_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kBits),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_FillBernoulliWords, p0_1, 0.1);
+BENCHMARK_CAPTURE(BM_FillBernoulliWords, p0_5, 0.5);
 
 }  // namespace
 }  // namespace relcomp

@@ -1,6 +1,8 @@
 #include "common/bitvector.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "common/rng.h"
 
@@ -127,28 +129,44 @@ void BitVector::FillBernoulli(double p, Rng& rng) {
 void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                    Rng& rng) {
   const size_t num_words = WordsFor(num_bits);
-  for (size_t w = 0; w < num_words; ++w) words[w] = 0;
-  if (num_bits == 0 || p <= 0.0) return;
+  if (num_bits == 0 || p <= 0.0) {
+    for (size_t w = 0; w < num_words; ++w) words[w] = 0;
+    return;
+  }
   if (p >= 1.0) {
     for (size_t w = 0; w < num_words; ++w) words[w] = ~0ULL;
     const size_t rem = num_bits % kWordBits;
     if (rem != 0) words[num_words - 1] &= (1ULL << rem) - 1;
     return;
   }
-  auto set = [&](size_t i) { words[i / kWordBits] |= 1ULL << (i % kWordBits); };
-  // Geometric skipping: expected work O(p * num_bits) instead of O(num_bits),
-  // matching how sparse most uncertain-graph edges are.
+  // Draw from a local copy: `words` may alias anything, so drawing through
+  // `rng` would reload and store its state around every word write.
+  Rng local = rng;
   if (p < 0.25) {
-    size_t i = rng.Geometric(p);
+    // Geometric skipping: expected work O(p * num_bits) instead of
+    // O(num_bits), matching how sparse most uncertain-graph edges are.
+    for (size_t w = 0; w < num_words; ++w) words[w] = 0;
+    const double log1m_p = std::log1p(-p);
+    size_t i = local.GeometricLog1mP(log1m_p);
     while (i < num_bits) {
-      set(i);
-      i += 1 + rng.Geometric(p);
+      words[i / kWordBits] |= 1ULL << (i % kWordBits);
+      i += 1 + local.GeometricLog1mP(log1m_p);
     }
-    return;
+  } else {
+    // One Bernoulli(p) draw per bit, in bit order, each compared raw
+    // against the exact threshold (the same test as Rng::Bernoulli). A NaN
+    // p lands here too: it draws once per bit and sets none (threshold 0).
+    const uint64_t threshold = BernoulliThreshold(p);
+    for (size_t w = 0; w < num_words; ++w) {
+      const size_t bits = std::min(kWordBits, num_bits - w * kWordBits);
+      uint64_t word = 0;
+      for (size_t b = 0; b < bits; ++b) {
+        word |= static_cast<uint64_t>(local.NextU64() < threshold) << b;
+      }
+      words[w] = word;
+    }
   }
-  for (size_t i = 0; i < num_bits; ++i) {
-    if (rng.Bernoulli(p)) set(i);
-  }
+  rng = local;
 }
 
 bool BitVector::operator==(const BitVector& other) const {

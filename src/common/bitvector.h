@@ -139,9 +139,17 @@ class BitVector {
 
   /// Raw-word form of FillBernoulli, writing `num_bits` draws into `words`
   /// (which must span at least ceil(num_bits / 64) words; the tail of the
-  /// last word is zeroed). Consumes the identical RNG stream as
-  /// FillBernoulli, so packed and per-vector storage sample bit-identical
-  /// worlds from equal seeds.
+  /// last word is zeroed). FillBernoulli calls it, so packed and per-vector
+  /// storage sample bit-identical worlds from equal seeds.
+  ///
+  /// Stream contract: the words and the RNG state afterwards equal those of
+  /// the per-bit loop "for p < 0.25, set bit i, i += 1 + rng.Geometric(p),
+  /// starting at i = rng.Geometric(p); otherwise set bit i iff
+  /// rng.Bernoulli(p), for i in order". p <= 0 and p >= 1 draw nothing; a
+  /// NaN p draws one value per bit and sets none. Every BFS Sharing
+  /// generation, and with it every engine answer, depends on this stream;
+  /// BitVector.FillBernoulliWordsPinsTheHistoricalStream in
+  /// tests/bitvector_test.cc pins it.
   static void FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                  Rng& rng);
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -52,6 +53,16 @@ uint32_t StratumSampleOffset(uint32_t num_samples, uint32_t num_strata,
                              uint32_t stratum);
 /// @}
 
+/// Exact integer form of the Bernoulli(p) test, for p < 1: a raw draw x
+/// satisfies x < BernoulliThreshold(p) exactly when the 53-bit uniform
+/// (x >> 11) * 2^-53 that NextDouble() makes of it is < p, because that
+/// uniform is < p iff x >> 11 < ceil(p * 2^53). p <= 0 and NaN give 0 (no
+/// draw passes), as Rng::Bernoulli's comparison does.
+inline uint64_t BernoulliThreshold(double p) {
+  if (!(p > 0.0)) return 0;
+  return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53))) << 11;
+}
+
 /// \brief Deterministic pseudo-random number generator (xoshiro256**).
 ///
 /// All stochastic components of the library draw from this class so that
@@ -66,11 +77,24 @@ class Rng {
   /// Re-initializes the state from `seed` (SplitMix64 expansion).
   void Reseed(uint64_t seed);
 
-  /// Next raw 64-bit value.
-  uint64_t NextU64();
+  /// Next raw 64-bit value. Inline (with NextDouble and Bernoulli) so the
+  /// per-bit loops of world sampling keep the state in registers.
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, n). Precondition: n > 0.
   uint64_t UniformInt(uint64_t n);
@@ -79,7 +103,11 @@ class Rng {
   int64_t UniformRange(int64_t lo, int64_t hi);
 
   /// Bernoulli trial: true with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Number of failures before the first success of a Bernoulli(p) process
   /// (support {0, 1, 2, ...}). Precondition: 0 < p <= 1.
@@ -88,6 +116,20 @@ class Rng {
   /// the value X means the edge stays absent for X probes and exists on
   /// probe X+1.
   uint64_t Geometric(double p);
+
+  /// Geometric(p) for p < 1 with `log1m_p` = std::log1p(-p) computed once by
+  /// the caller: the identical draws and arithmetic, minus one log1p per
+  /// variate in loops that reuse one p.
+  uint64_t GeometricLog1mP(double log1m_p) {
+    // Inversion: X = floor(log(U) / log(1 - p)), U in (0, 1).
+    double u = NextDouble();
+    while (u <= 0.0) u = NextDouble();
+    double x = std::floor(std::log(u) / log1m_p);
+    if (x < 0.0) x = 0.0;
+    constexpr double kMax = 9.0e18;
+    if (x > kMax) x = kMax;
+    return static_cast<uint64_t>(x);
+  }
 
   /// Exponential variate with rate lambda. Precondition: lambda > 0.
   double Exponential(double lambda);
@@ -100,6 +142,10 @@ class Rng {
   Rng Split();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

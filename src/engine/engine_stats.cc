@@ -99,7 +99,6 @@ void EngineStats::RecordSweepLatency(double seconds) {
   sweep_latency_ns_->RecordSeconds(seconds);
 }
 
-void EngineStats::RecordPrebuiltUsed() { prebuilt_used_->Inc(); }
 
 void EngineStats::RecordWorkload(WorkloadKind kind) {
   workload_queries_[static_cast<size_t>(kind)]->Inc();
@@ -223,7 +222,7 @@ void EngineStats::Reset() {
 TextTable EngineStatsTable(
     const std::vector<std::pair<std::string, EngineStatsSnapshot>>& rows) {
   TextTable table({"config", "queries", "st/k/set/d", "exec", "coal",
-                   "swp x/h/c", "strata x/s", "scout", "swp p50/p95", "pre",
+                   "swp x/h/c", "strata x/s", "scout", "swp p50/p95",
                    "wall s", "span s", "qps", "mean ms", "p50 ms", "p90 ms",
                    "p99 ms", "max ms", "hit rate", "peak mem", "index mem"});
   for (const auto& [label, s] : rows) {
@@ -248,7 +247,6 @@ TextTable EngineStatsTable(
                    static_cast<unsigned long long>(s.strata_stolen)),
          StrFormat("%llu", static_cast<unsigned long long>(s.scout_warms)),
          StrFormat("%.2f/%.2f", s.sweep_p50_ms, s.sweep_p95_ms),
-         StrFormat("%llu", static_cast<unsigned long long>(s.prebuilt_used)),
          StrFormat("%.3f", s.wall_seconds), StrFormat("%.3f", s.span_seconds),
          StrFormat("%.1f", s.throughput_qps), StrFormat("%.3f", s.mean_ms),
          StrFormat("%.3f", s.p50_ms), StrFormat("%.3f", s.p90_ms),

@@ -8,7 +8,6 @@
 
 #include "common/fault_injection.h"
 #include "common/memory_tracker.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/result_cache.h"
 #include "engine/sweep_cache.h"
 #include "eval/table.h"
@@ -98,8 +97,8 @@ struct EngineStatsSnapshot {
   double sweep_p50_ms = 0.0;
   double sweep_p95_ms = 0.0;
   /// @}
-  /// Queries whose PrepareForNextQuery artifact (BFS Sharing generation) was
-  /// adopted from the background prebuilder instead of resampled inline.
+  /// Always 0: the engine resamples every generation inline. Retained, with
+  /// its engine_prebuilt_used_total counter, for readers of the snapshot.
   uint64_t prebuilt_used = 0;
   /// \name Adaptive routing (zeros when enable_router is off)
   /// @{
@@ -134,9 +133,6 @@ struct EngineStatsSnapshot {
   ResultCacheStats cache;
   /// Sweep memoization effectiveness (zeros when the sweep cache is off).
   SweepCacheStats sweep_cache;
-  /// Background generation prebuilding (zeros when the prebuilder is off or
-  /// the estimator kind has no prepared-generation support).
-  GenerationPrebuilderStats prebuilder;
 };
 
 /// \brief Thread-safe recorder of per-query outcomes — a *view over the
@@ -199,10 +195,6 @@ class EngineStats {
   /// Records one executed sweep's wall-clock (leader start to publish), the
   /// sample behind the per-sweep latency quantiles.
   void RecordSweepLatency(double seconds);
-
-  /// Records one query whose prepare artifact came from the background
-  /// prebuilder.
-  void RecordPrebuiltUsed();
 
   /// Counts one query against its workload kind (called once per query, on
   /// top of exactly one of the Record* outcomes above).

@@ -219,13 +219,6 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
     sweep_cache_ = std::make_unique<SweepCache>(options_.sweep_cache_max_bytes,
                                                 registry_.get());
   }
-  if (options_.enable_generation_prebuild && !replicas_.empty() &&
-      replicas_.front()->SupportsPreparedGenerations()) {
-    prebuilder_ = std::make_unique<GenerationPrebuilder>(
-        *replicas_.front(), options_.prebuild_max_pending,
-        options_.prebuild_threads, options_.prebuild_max_bytes,
-        registry_.get());
-  }
   // Serving pool: exactly num_threads workers. replicas_ may hold more —
   // the tail replicas belong to the auxiliary refresh lane below.
   pool_ = std::make_unique<ThreadPool>(
@@ -270,8 +263,6 @@ QueryEngine::~QueryEngine() {
   // final warm state (a crash instead simply loses what the last periodic
   // flush missed — never more).
   if (store_ != nullptr) (void)FlushWarmState();
-  // Join the builder thread before any replica (its build prototype) dies.
-  prebuilder_.reset();
 }
 
 Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
@@ -664,7 +655,6 @@ EngineStatsSnapshot QueryEngine::StatsSnapshot() const {
   EngineStatsSnapshot snapshot =
       stats_.Snapshot(cache_.get(), sweep_cache_.get());
   snapshot.index_memory = IndexMemory();
-  if (prebuilder_ != nullptr) snapshot.prebuilder = prebuilder_->Stats();
   if (router_ != nullptr) {
     snapshot.router_decisions = router_->decisions();
     snapshot.router_fallbacks = router_->fallbacks();
@@ -673,10 +663,7 @@ EngineStatsSnapshot QueryEngine::StatsSnapshot() const {
 }
 
 IndexMemoryReport QueryEngine::IndexMemory() const {
-  IndexMemoryReport report = ReportIndexMemory(replicas_);
-  // Ready-but-unadopted prebuilt generations are index-sized residents too.
-  if (prebuilder_ != nullptr) report.prebuilt_bytes = prebuilder_->ReadyBytes();
-  return report;
+  return ReportIndexMemory(replicas_);
 }
 
 void QueryEngine::AwaitCall(CallState& state) {
@@ -862,48 +849,6 @@ void QueryEngine::FinishFlight(const ResultCacheKey& key,
   flight->done.notify_all();
 }
 
-void QueryEngine::RequestPrebuild(const EngineQuery& query) {
-  const QueryPlan plan = PlanFor(query);
-  // The prebuilder's build prototype is a static-kind replica: generations
-  // it resamples only fit static-kind plans. A query routed onto another
-  // backend will never adopt one, so don't build it.
-  if (plan.kind != options_.kind) return;
-  const uint64_t query_seed = SeedForPlan(query, plan);
-  // A query the caches will serve never prepares a replica — building its
-  // generation would be pure waste (and would strand index-sized memory in
-  // the builder's ready pool). That covers result-cache hits for any kind,
-  // and sweep-kind queries whose source's sweep is already memoized (they
-  // derive without touching an estimator, whatever their k / eta).
-  if (cache_ != nullptr &&
-      cache_->Contains(ResultCacheKey{query, plan.kind, plan.num_samples,
-                                      query_seed})) {
-    return;
-  }
-  if (sweep_cache_ != nullptr && IsSweepWorkload(query.workload) &&
-      sweep_cache_->Contains(SweepCacheKey{plan.kind, query.source,
-                                           plan.num_samples, query_seed})) {
-    return;
-  }
-  prebuilder_->Request(HashCombineSeed(query_seed, kPrepareSeedTag));
-}
-
-Status QueryEngine::PrepareReplica(Estimator& estimator,
-                                   uint64_t prepare_seed) {
-  if (prebuilder_ != nullptr && estimator.SupportsPreparedGenerations()) {
-    if (std::unique_ptr<PreparedGeneration> generation =
-            prebuilder_->Take(prepare_seed)) {
-      if (estimator.AdoptPreparedGeneration(std::move(generation)).ok()) {
-        stats_.RecordPrebuiltUsed();
-        return Status::OK();
-      }
-      // Adoption refused (shape mismatch — cannot happen for replicas of
-      // this engine): fall through to the inline path, which is
-      // bit-identical by the PreparedGeneration contract.
-    }
-  }
-  return estimator.PrepareForNextQuery(prepare_seed);
-}
-
 Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
     size_t worker_id, const EngineQuery& query, const QueryPlan& plan,
     uint64_t sweep_seed, const SweepCacheKey& key, const CancelToken* cancel,
@@ -924,8 +869,8 @@ Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
   }
   {
     StageTimer prepare(stage_prepare_, trace, obs::SpanKind::kPrepare, parent);
-    RELCOMP_RETURN_NOT_OK(PrepareReplica(
-        estimator, HashCombineSeed(sweep_seed, kPrepareSeedTag)));
+    RELCOMP_RETURN_NOT_OK(estimator.PrepareForNextQuery(
+        HashCombineSeed(sweep_seed, kPrepareSeedTag)));
   }
   EstimateOptions estimate_options;
   estimate_options.num_samples = plan.num_samples;
@@ -1001,14 +946,12 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
     }
     if (run.ok() && !prepared) {
       // H(sweep_seed, tag) == PrepareSeed(q) for every sweep-kind q over
-      // this source — the derivation RequestPrebuild also uses, so prebuilt
-      // generations match. Every participant ends up reading bit-identical
-      // worlds: the first preparer pays the full prepare (adopting a
-      // prebuilt generation when one is ready) and publishes a read-only
-      // snapshot; later thieves adopt that snapshot in O(1) instead of
-      // re-running the same O(L·m) resample per worker (estimators without
-      // shared prepared state — MC, whose prepare is a no-op — just
-      // prepare directly).
+      // this source. Every participant ends up reading bit-identical
+      // worlds: the first preparer pays the full prepare and publishes a
+      // read-only snapshot; later thieves adopt that snapshot in O(1)
+      // instead of re-running the same O(L·m) resample per worker
+      // (estimators without shared prepared state — MC, whose prepare is a
+      // no-op — just prepare directly).
       StageTimer prepare_stage(stage_prepare_, trace, obs::SpanKind::kPrepare,
                                parent);
       std::shared_ptr<const PreparedGeneration> shared_state;
@@ -1021,12 +964,12 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
         if (!run.ok()) {
           // Adoption refused (shape mismatch — cannot happen for replicas
           // of this engine): the inline prepare is bit-identical anyway.
-          run = PrepareReplica(estimator,
-                               HashCombineSeed(sweep_seed, kPrepareSeedTag));
+          run = estimator.PrepareForNextQuery(
+              HashCombineSeed(sweep_seed, kPrepareSeedTag));
         }
       } else {
-        run = PrepareReplica(estimator,
-                             HashCombineSeed(sweep_seed, kPrepareSeedTag));
+        run = estimator.PrepareForNextQuery(
+            HashCombineSeed(sweep_seed, kPrepareSeedTag));
         if (run.ok() && estimator.SupportsSharedPreparedState()) {
           Result<std::shared_ptr<const PreparedGeneration>> snapshot =
               estimator.ShareCurrentPreparedState();
@@ -1460,8 +1403,8 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
   {
     StageTimer prepare_stage(stage_prepare_, trace, obs::SpanKind::kPrepare,
                              parent);
-    RELCOMP_RETURN_NOT_OK(PrepareReplica(
-        estimator, HashCombineSeed(query_seed, kPrepareSeedTag)));
+    RELCOMP_RETURN_NOT_OK(estimator.PrepareForNextQuery(
+        HashCombineSeed(query_seed, kPrepareSeedTag)));
   }
   EstimateOptions estimate_options;
   estimate_options.num_samples = plan.num_samples;
@@ -1597,15 +1540,6 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
     if (!valid.ok()) {
       return Status::InvalidArgument(
           StrFormat("query %zu: %s", i, valid.message().c_str()));
-    }
-  }
-  if (prebuilder_ != nullptr) {
-    // Seed the background builder with the whole batch's prepare seeds
-    // (deduplicated and bounded inside): generations for later queries are
-    // resampled while workers run the earlier queries' BFS, instead of
-    // inline on the serving path.
-    for (const EngineQuery& query : queries) {
-      RequestPrebuild(query);
     }
   }
   // Warm-ahead scout pass: the batch's hottest sweep sources get stratified
@@ -1762,9 +1696,6 @@ Status QueryEngine::Submit(const EngineQuery& query) {
   if (options_.enable_load_shedding) {
     RELCOMP_RETURN_NOT_OK(AdmitQuery(query));
   }
-  // Overlap: the builder resamples this query's generation while earlier
-  // stream queries are still running their BFS on the workers.
-  if (prebuilder_ != nullptr) RequestPrebuild(query);
   // The pool submit happens under stream_mutex_ so a concurrent Drain either
   // sees this query fully enqueued (and waits for it) or not at all (next
   // cycle); a slot can never be mid-flight across a drain boundary.

@@ -13,7 +13,6 @@
 #include "common/cancel.h"
 #include "common/timer.h"
 #include "engine/engine_stats.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/result_cache.h"
 #include "engine/router.h"
 #include "engine/sweep_cache.h"
@@ -99,11 +98,11 @@ struct EngineOptions {
   /// Warm-ahead sweep scouting: RunBatch (and the stream path) sees a
   /// batch's sweep sources up front, so before the queries drain, a scout
   /// pass enqueues stratified warm tasks for the hottest sources (ranked by
-  /// batch frequency) — the way prepare seeds already feed the generation
-  /// prebuilder. A scout that wins the sweep's single-flight leads the very
-  /// sweep the queries would have led (same seed, same strata, stealable by
-  /// the queries it outran), so results are bit-identical with scouting on
-  /// or off; it only moves the hottest sweeps to the front of the pool.
+  /// batch frequency). A scout that wins the sweep's single-flight leads
+  /// the very sweep the queries would have led (same seed, same strata,
+  /// stealable by the queries it outran), so results are bit-identical with
+  /// scouting on or off; it only moves the hottest sweeps to the front of
+  /// the pool.
   /// Effective only with coalescing and the sweep cache on (it needs the
   /// single-flight table and the memo to hand its vector over).
   bool enable_sweep_scout = true;
@@ -117,32 +116,6 @@ struct EngineOptions {
   /// on hit) makes the sweep immortal again. 0 = scout warms never expire
   /// (the pre-TTL behavior).
   double scout_warm_ttl = 30.0;
-  /// Background generation prebuilding: when the estimator kind supports
-  /// prepared generations (BFS Sharing), a builder thread constructs the
-  /// next queries' PrepareForNextQuery artifacts (world resampling)
-  /// overlapping the previous queries' BFS, and workers adopt them in O(1)
-  /// instead of resampling inline on the serving path. Bit-identical on or
-  /// off.
-  bool enable_generation_prebuild = true;
-  /// Bound on queued + ready-but-unclaimed prebuilt generations. NOTE: the
-  /// bound is a *count*, and every ready generation holds a full index-sized
-  /// artifact (a BFS Sharing generation is the L-bit-per-edge vectors, the
-  /// same order as the shared index itself) that is not part of
-  /// IndexMemory() — size this knob as "how many spare indexes fit in RAM".
-  /// At the bound the oldest ready generation is evicted for a new request;
-  /// if all pending work is queued / in-flight, the request is dropped and
-  /// the affected query simply resamples inline.
-  size_t prebuild_max_pending = 16;
-  /// Builder threads fanning the L·m resampling of several distinct prepare
-  /// seeds concurrently (each seed still built exactly once, closest to
-  /// dispatch first). Clamped to >= 1.
-  size_t prebuild_threads = 2;
-  /// Byte budget for the prebuilder's ready pool (0 = bounded by count
-  /// only): ready generations are charged their real
-  /// PreparedGeneration::MemoryBytes() — index-sized for BFS Sharing — and
-  /// the oldest are evicted when the pool exceeds the budget. The resident
-  /// pool is reported in IndexMemoryReport::prebuilt_bytes.
-  size_t prebuild_max_bytes = 0;
   /// \name Fault tolerance & graceful degradation (see README "Failure
   /// semantics & degraded modes")
   /// @{
@@ -382,20 +355,16 @@ class QueryEngine {
   const ResultCache* cache() const { return cache_.get(); }
   /// nullptr when sweep memoization is disabled.
   const SweepCache* sweep_cache() const { return sweep_cache_.get(); }
-  /// nullptr when the prebuilder is off or the estimator kind has no
-  /// prepared-generation support.
-  const GenerationPrebuilder* prebuilder() const { return prebuilder_.get(); }
   /// Deduplicated resident index footprint of the replica set (a shared
-  /// index is counted once, not once per replica) plus the prebuilder's
-  /// ready pool of spare generations (IndexMemoryReport::prebuilt_bytes).
+  /// index is counted once, not once per replica).
   IndexMemoryReport IndexMemory() const;
   /// Cumulative since construction (RunBatch and stream both feed it).
   EngineStatsSnapshot StatsSnapshot() const;
   void ResetStats() { stats_.Reset(); }
 
   /// Engine-wide instrument registry: the stats recorder, both caches, the
-  /// pool's queue-wait histogram, the stage histograms, and the prebuilder
-  /// all record into this one registry, so a single ExportJson() /
+  /// pool's queue-wait histogram and the stage histograms all record into
+  /// this one registry, so a single ExportJson() /
   /// ExportText() scrape reports everything the engine measures.
   obs::MetricsRegistry& metrics() const { return *registry_; }
 
@@ -546,7 +515,7 @@ class QueryEngine {
 
   /// Compute path of one query (after the cache / query-level flight said
   /// miss): sweep kinds go through the sweep-sharing layer, everything else
-  /// through PrepareReplica + DispatchWorkload.
+  /// through PrepareForNextQuery + DispatchWorkload.
   /// `cancel` (nullable) is the query's deadline/cancellation token, polled
   /// cooperatively by the estimator loops and the flight machinery below.
   Result<WorkloadResult> ComputeWorkload(size_t worker_id,
@@ -658,16 +627,6 @@ class QueryEngine {
   /// batch's own tasks in the pool's FIFO.
   void ScoutBatch(const std::vector<EngineQuery>& queries);
 
-  /// Re-arms `estimator` for a query with `prepare_seed`: adopts a prebuilt
-  /// generation when the background prebuilder has one ready, falls back to
-  /// the inline PrepareForNextQuery otherwise (bit-identical either way).
-  Status PrepareReplica(Estimator& estimator, uint64_t prepare_seed);
-
-  /// Hands `query`'s prepare seed to the background builder — unless the
-  /// result cache will serve the query anyway (prebuilder_ must be
-  /// non-null).
-  void RequestPrebuild(const EngineQuery& query);
-
   /// Cache lookup + single-flight rendezvous for `key`. Returns true when
   /// `slot` was fully served (cache hit — positive or negative — or
   /// coalesced); otherwise the caller is the leader (or coalescing is off)
@@ -738,7 +697,7 @@ class QueryEngine {
   const UncertainGraph& graph_;
   const EngineOptions options_;
   /// Declared before every component that records into it (stats, caches,
-  /// pool, prebuilder), so it is destroyed last: workers may still record
+  /// pool), so it is destroyed last: workers may still record
   /// while the pool drains during shutdown.
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::Tracer> tracer_;
@@ -810,9 +769,6 @@ class QueryEngine {
 
   /// Memoized per-source sweeps; nullptr when disabled.
   std::unique_ptr<SweepCache> sweep_cache_;
-  /// Background generation builder; nullptr when off / unsupported. Declared
-  /// after replicas_ so it is destroyed (thread joined) before they are.
-  std::unique_ptr<GenerationPrebuilder> prebuilder_;
 
   /// \name Warm-state journaling (guarded by journal_mutex_)
   /// @{

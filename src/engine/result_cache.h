@@ -145,7 +145,7 @@ class ResultCache {
 
   /// True when a live (unexpired) entry exists for `key`. Touches neither
   /// recency nor stats and copies no payload — a pure probe, e.g. for the
-  /// engine deciding whether a query is worth prebuilding for.
+  /// engine's load-shedding gate deciding whether a query is cache-servable.
   bool Contains(const ResultCacheKey& key) const;
 
   /// Stale-while-revalidate lookup. Fresh entries behave exactly like

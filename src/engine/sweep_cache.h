@@ -142,8 +142,8 @@ class SweepCache {
 
   /// True when `key` is memoized and not expired. Touches neither recency
   /// nor stats — a pure probe, e.g. for the engine deciding whether a
-  /// sweep-kind query is worth prebuilding a generation for (an expired
-  /// warm is reported absent; the next Lookup reaps it).
+  /// sweep-kind query is cache-servable or a source needs a scout warm (an
+  /// expired warm is reported absent; the next Lookup reaps it).
   bool Contains(const SweepCacheKey& key) const;
 
   /// Snapshot of every live entry for the persistence journal, most-recent

@@ -166,6 +166,12 @@ class BfsSharingEstimator : public Estimator {
   /// Cheap per sample (offline worlds, one shared BFS over bit-vector
   /// words), but the inter-query resample rewrites L bits per edge — the
   /// dominant per-query term the router must price in.
+  ///
+  /// This prior predates the word-at-a-time resample kernel and now
+  /// overprices the per-query term by about 4x. It is kept as is because it
+  /// feeds RouterModel::Default and with it the routed plans and seeds;
+  /// calibrated router profiles (estimator_tournament --json) should be
+  /// re-measured on the current kernel.
   CostHints cost_hints() const override {
     CostHints hints;
     hints.per_sample_edge_cost = 0.25;
@@ -193,18 +199,6 @@ class BfsSharingEstimator : public Estimator {
   /// otherwise a fresh generation is built and atomically swapped in,
   /// leaving generations still referenced by other replicas untouched.
   Status PrepareForNextQuery(uint64_t seed) override;
-
-  /// Background-prepare surface: BuildPreparedGeneration samples the worlds
-  /// PrepareForNextQuery(seed) would install — bit-identical, reading only
-  /// the graph and the options, so a builder thread can overlap it with this
-  /// replica's in-flight BFS. AdoptPreparedGeneration swaps it in as an
-  /// exclusively-owned generation (subsequent inline prepares resample it in
-  /// place again).
-  bool SupportsPreparedGenerations() const override { return true; }
-  Result<std::unique_ptr<PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed) const override;
-  Status AdoptPreparedGeneration(
-      std::unique_ptr<PreparedGeneration> generation) override;
 
   /// Shared-prepared-state surface: a prepared replica hands its current
   /// generation to sibling replicas as a read-only snapshot, adopted in

@@ -1,8 +1,14 @@
 #include "common/bitvector.h"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "graph/datasets.h"
+#include "reliability/bfs_sharing.h"
 
 namespace relcomp {
 namespace {
@@ -297,6 +303,88 @@ TEST(BitVector, OrWithAndOffsetZeroEqualsOrWithAnd) {
   y = x;
   EXPECT_EQ(x.OrWithAnd(a, b), y.OrWithAndOffset(a, b, 0));
   EXPECT_EQ(x, y);
+}
+
+// The historical per-bit fill, kept here as the oracle of the stream
+// contract: geometric skipping below p = 0.25, one Bernoulli draw per bit
+// from 0.25 on.
+std::vector<uint64_t> PerBitFill(size_t num_bits, double p, Rng& rng) {
+  std::vector<uint64_t> words((num_bits + 63) / 64, 0);
+  auto set = [&](size_t i) { words[i / 64] |= uint64_t{1} << (i % 64); };
+  if (num_bits == 0 || p <= 0.0) return words;
+  if (p >= 1.0) {
+    for (size_t i = 0; i < num_bits; ++i) set(i);
+    return words;
+  }
+  if (p < 0.25) {
+    size_t i = rng.Geometric(p);
+    while (i < num_bits) {
+      set(i);
+      i += 1 + rng.Geometric(p);
+    }
+    return words;
+  }
+  for (size_t i = 0; i < num_bits; ++i) {
+    if (rng.Bernoulli(p)) set(i);
+  }
+  return words;
+}
+
+TEST(BitVector, FillBernoulliWordsPinsTheHistoricalStream) {
+  const double ps[] = {0.0,
+                       std::numeric_limits<double>::quiet_NaN(),
+                       1e-12,
+                       0.1,
+                       std::nextafter(0.25, 0.0),
+                       0.25,
+                       1.0 / 3.0,
+                       0.5,
+                       0.75,
+                       std::nextafter(1.0, 0.0),
+                       1.0};
+  for (const double p : ps) {
+    for (const size_t len : {1u, 63u, 64u, 65u, 1000u, 1500u}) {
+      for (const uint64_t seed : {1u, 77u}) {
+        Rng oracle_rng(seed);
+        Rng fill_rng(seed);
+        const std::vector<uint64_t> expected = PerBitFill(len, p, oracle_rng);
+        std::vector<uint64_t> words(expected.size(), ~uint64_t{0});
+        BitVector::FillBernoulliWords(words.data(), len, p, fill_rng);
+        EXPECT_EQ(words, expected) << p << "/" << len << "/" << seed;
+        EXPECT_EQ(fill_rng.NextU64(), oracle_rng.NextU64())
+            << "RNG state diverged at " << p << "/" << len << "/" << seed;
+      }
+    }
+  }
+}
+
+TEST(BitVector, FillBernoulliWordsNanFillsZeros) {
+  Rng rng(5);
+  std::vector<uint64_t> words(3, ~uint64_t{0});
+  BitVector::FillBernoulliWords(words.data(), 150,
+                                std::numeric_limits<double>::quiet_NaN(), rng);
+  EXPECT_EQ(words, std::vector<uint64_t>(3, 0));
+}
+
+TEST(BitVector, BfsSharingIndexBuildIsPinned) {
+  // Every generation of the LastFM small index at L = 1500, seed 1, hashed
+  // word by word. The constant was recorded with the per-bit fill; any
+  // change to the draw order, the 0.25 crossover or the comparison changes
+  // it.
+  const Dataset dataset =
+      MakeDataset(DatasetId::kLastFm, Scale::kSmall, 42).MoveValue();
+  ASSERT_EQ(dataset.graph.num_edges(), 9994u);
+  BfsSharingOptions options;
+  options.index_samples = 1500;
+  const auto index =
+      BfsSharingIndex::Build(dataset.graph, options, 1).MoveValue();
+  uint64_t hash = 0;
+  for (EdgeId e = 0; e < index->num_edges(); ++e) {
+    for (size_t w = 0; w < index->words_per_edge(); ++w) {
+      hash = HashCombineSeed(hash, index->edge_words(e)[w]);
+    }
+  }
+  EXPECT_EQ(hash, 0x2edc4aa6c0fe8e02ULL);
 }
 
 }  // namespace

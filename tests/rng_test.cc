@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +181,47 @@ TEST(SplitMix64, KnownSequenceIsStable) {
   EXPECT_NE(a, b);
   uint64_t state2 = 0;
   EXPECT_EQ(SplitMix64(state2), a);
+}
+
+TEST(Rng, NextU64GoldenValues) {
+  // The xoshiro256** stream every experiment reproduces from; pinned so a
+  // change to the generator (or to how it is inlined) cannot go unnoticed.
+  const uint64_t expected[8] = {
+      0x59761096949c683dULL, 0x7e436068556fab29ULL, 0xe6a51fbfd60edd06ULL,
+      0x938809d8706c1c30ULL, 0xb143626883885b9dULL, 0x57712c108ea92b14ULL,
+      0x11788409a79457d5ULL, 0x6d337f338123eabbULL};
+  Rng rng(20240601);
+  for (const uint64_t value : expected) EXPECT_EQ(rng.NextU64(), value);
+}
+
+TEST(Rng, NextDoubleGoldenValues) {
+  const double expected[8] = {
+      0x1.65d8425a5271ap-2, 0x1.f90d81a155beap-2, 0x1.cd4a3f7fac1dbp-1,
+      0x1.271013b0e0d83p-1, 0x1.6286c4d10710bp-1, 0x1.5dc4b0423aa4ap-2,
+      0x1.1788409a7945p-4,  0x1.b4cdfcce048fap-2};
+  Rng rng(20240601);
+  for (const double value : expected) EXPECT_EQ(rng.NextDouble(), value);
+}
+
+TEST(Rng, BernoulliThresholdMatchesNextDoubleTest) {
+  // FillBernoulliWords decides a dense bit by comparing the raw draw x with
+  // BernoulliThreshold(p) instead of NextDouble() < p. The two tests must
+  // agree for every x; probe random x plus the values around the threshold.
+  EXPECT_EQ(BernoulliThreshold(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(BernoulliThreshold(-0.5), 0u);
+  Rng rng(31);
+  for (const double p : {0.0, 1e-12, 0.1, std::nextafter(0.25, 0.0), 0.25,
+                         1.0 / 3.0, 0.5, 0.75, std::nextafter(1.0, 0.0)}) {
+    const uint64_t threshold = BernoulliThreshold(p);
+    std::vector<uint64_t> probes = {0, ~uint64_t{0}, threshold,
+                                    threshold - 1, threshold + 1,
+                                    threshold + 2047, threshold - 2048};
+    for (int i = 0; i < 100000; ++i) probes.push_back(rng.NextU64());
+    for (const uint64_t x : probes) {
+      const bool by_double = static_cast<double>(x >> 11) * 0x1.0p-53 < p;
+      EXPECT_EQ(x < threshold, by_double) << p << " x=" << x;
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // stratum scheduler (bit-identical at 1/2/8 threads x S in {1, 4, 16},
 // stealing-vs-blocking parity, steal counters), the warm-ahead scout pass
 // (deterministic on/off, counted), stratified-vs-unstratified accuracy, and
-// the multi-threaded byte-budgeted generation prebuilder.
+// shared prepared state.
 
 #include <cstring>
 #include <thread>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/query_engine.h"
 #include "reliability/bfs_sharing.h"
 #include "reliability/mc_sampling.h"
@@ -431,62 +430,6 @@ TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
   // 3 x uint32 per node) exceeds the bare derivation scan (n doubles).
   const size_t derive_only = graph.num_nodes() * sizeof(double);
   EXPECT_GT(engine->StatsSnapshot().peak_memory_bytes, derive_only);
-}
-
-TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 81);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/8,
-                                  /*num_builders=*/3);
-  EXPECT_EQ(prebuilder.num_builders(), 3u);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    EXPECT_TRUE(prebuilder.Request(seed));
-  }
-  while (prebuilder.Stats().built < 6) std::this_thread::yield();
-  // Every seed built exactly once and adoptable; the ready pool accounts
-  // index-sized bytes until the takes drain it.
-  EXPECT_GT(prebuilder.ReadyBytes(), 0u);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::unique_ptr<PreparedGeneration> generation = prebuilder.Take(seed);
-    ASSERT_NE(generation, nullptr) << "seed " << seed;
-    EXPECT_GT(generation->MemoryBytes(), 0u);
-  }
-  EXPECT_EQ(prebuilder.ReadyBytes(), 0u);
-  EXPECT_EQ(prebuilder.Stats().taken, 6u);
-}
-
-TEST(StratifiedSweepTest, PrebuilderHonorsReadyPoolByteBudget) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 82);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  const size_t one_generation =
-      estimator->BuildPreparedGeneration(1).MoveValue()->MemoryBytes();
-  ASSERT_GT(one_generation, 0u);
-  // Budget for ~1.5 generations: the pool may hold one ready generation,
-  // never two; older ones are evicted as new builds land.
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/8,
-                                  /*num_builders=*/1,
-                                  /*max_ready_bytes=*/one_generation * 3 / 2);
-  EXPECT_TRUE(prebuilder.Request(10));
-  EXPECT_TRUE(prebuilder.Request(11));
-  EXPECT_TRUE(prebuilder.Request(12));
-  while (prebuilder.Stats().built < 3) std::this_thread::yield();
-  const GenerationPrebuilderStats stats = prebuilder.Stats();
-  EXPECT_GE(stats.evicted, 2u);
-  EXPECT_LE(stats.ready_bytes, one_generation * 3 / 2);
-  // The newest generation survived the byte evictions.
-  EXPECT_NE(prebuilder.Take(12), nullptr);
-}
-
-TEST(StratifiedSweepTest, IndexMemoryReportCountsPrebuiltPool) {
-  IndexMemoryReport report;
-  report.shared_bytes = 100;
-  report.replica_bytes = 10;
-  report.prebuilt_bytes = 50;
-  EXPECT_EQ(report.total_bytes(), 160u);
 }
 
 }  // namespace

@@ -2,16 +2,14 @@
 // batch executes exactly one EstimateFromSource per distinct source
 // (stats-verified), derived top-k / reliable-set answers are bit-identical to
 // the standalone APIs, the SweepCache evicts under byte pressure without
-// changing answers, and the background generation prebuilder is deterministic
-// on/off at 1/2/8 threads.
+// changing answers, and answers stay deterministic at 1/2/8 threads with the
+// sweep cache on or off.
 
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "engine/generation_prebuilder.h"
 #include "engine/query_engine.h"
 #include "reliability/bfs_sharing.h"
 #include "reliability/reliable_set.h"
@@ -188,7 +186,6 @@ TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
     EngineOptions reference_options = BaseOptions(1, kind);
     reference_options.enable_sweep_cache = false;
     reference_options.enable_coalescing = false;
-    reference_options.enable_generation_prebuild = false;
     auto reference_engine =
         QueryEngine::Create(graph, reference_options).MoveValue();
     const std::vector<EngineResult> reference =
@@ -196,17 +193,12 @@ TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
 
     for (const size_t threads : {1u, 2u, 8u}) {
       for (const bool sweep_cache : {true, false}) {
-        for (const bool prebuild : {true, false}) {
-          SCOPED_TRACE(threads);
-          SCOPED_TRACE(sweep_cache);
-          SCOPED_TRACE(prebuild);
-          EngineOptions options = BaseOptions(threads, kind);
-          options.enable_sweep_cache = sweep_cache;
-          options.enable_generation_prebuild = prebuild;
-          auto engine = QueryEngine::Create(graph, options).MoveValue();
-          ExpectBitIdentical(reference,
-                             engine->RunBatch(queries).MoveValue());
-        }
+        SCOPED_TRACE(threads);
+        SCOPED_TRACE(sweep_cache);
+        EngineOptions options = BaseOptions(threads, kind);
+        options.enable_sweep_cache = sweep_cache;
+        auto engine = QueryEngine::Create(graph, options).MoveValue();
+        ExpectBitIdentical(reference, engine->RunBatch(queries).MoveValue());
       }
     }
   }
@@ -260,55 +252,6 @@ TEST(SweepSharingTest, ConcurrentDistinctParamsCoalesceAtSweepLevel) {
   EXPECT_EQ(snapshot.sweep_hits + snapshot.sweep_coalesced,
             63u + snapshot.scout_warms);
   EXPECT_EQ(snapshot.executed, 64u);  // every query derived its own payload
-}
-
-TEST(SweepSharingTest, PrebuilderAdoptsBackgroundGenerations) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 57);
-  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
-  options.factory.bfs_sharing.index_samples = 256;
-  options.enable_cache = false;  // every query must prepare + compute
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-  ASSERT_NE(engine->prebuilder(), nullptr);
-
-  std::vector<EngineQuery> queries;
-  for (NodeId s = 0; s < 12; ++s) {
-    queries.push_back(EngineQuery::St(s, (s + 4) % 20));
-  }
-  const std::vector<EngineResult> results =
-      engine->RunBatch(queries).MoveValue();
-  for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  // Some generations were adopted from the background builder (the first
-  // query may race ahead of the builder and resample inline; later ones
-  // overlap). Requested/built/taken counters stay consistent.
-  EXPECT_GT(snapshot.prebuilder.requested, 0u);
-  EXPECT_EQ(snapshot.prebuilt_used, snapshot.prebuilder.taken);
-  EXPECT_LE(snapshot.prebuilder.taken, snapshot.prebuilder.built);
-
-  // MC has no prepared-generation surface: no prebuilder is spun up.
-  auto mc_engine =
-      QueryEngine::Create(graph, BaseOptions(2, EstimatorKind::kMonteCarlo))
-          .MoveValue();
-  EXPECT_EQ(mc_engine->prebuilder(), nullptr);
-}
-
-TEST(SweepSharingTest, PrebuilderEvictsStrandedReadyGenerations) {
-  // Stranded ready generations (built for queries that were then served
-  // from the result cache) must not wedge the builder shut at the pending
-  // bound: the oldest ready entry is evicted to make room.
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 60);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/2);
-  EXPECT_TRUE(prebuilder.Request(101));
-  EXPECT_TRUE(prebuilder.Request(102));
-  while (prebuilder.Stats().built < 2) std::this_thread::yield();
-  // At the bound with both slots ready: a new request evicts the oldest.
-  EXPECT_TRUE(prebuilder.Request(103));
-  EXPECT_EQ(prebuilder.Stats().evicted, 1u);
-  EXPECT_EQ(prebuilder.Take(101), nullptr);  // the evicted one
-  EXPECT_NE(prebuilder.Take(102), nullptr);  // survivor, still adoptable
 }
 
 TEST(SweepSharingTest, SweepAndDistanceQueriesReportPeakMemory) {
