@@ -51,10 +51,12 @@
 //      shed + drained counts partition the burst exactly, and the admitted
 //      p95 stays <= 2x the uncontended p95 (floor gated >= 8 hw threads);
 //  11. persistence: with a published snapshot in EngineOptions::persist_dir,
-//      QueryEngine::Create cold-starts by mmapping the BFS-Sharing index
-//      >= 10x faster than the rebuild-from-source path (best of 3 each —
-//      always gated: the ratio compares an O(1) map against an O(L*m)
-//      index build, so it is scale-invariant), the restored engine reports
+//      QueryEngine::Create cold-starts by mmapping the BFS-Sharing index:
+//      the restored index is a zero-copy mapped view and the only index
+//      Create constructs, so it touches none of the L*m words (the ratio to
+//      the rebuild-from-source cold start, best of 3 each, is reported but
+//      not gated: it shrinks whenever the rebuild gets faster, with no
+//      change to the mmap path), the restored engine reports
 //      snapshot_restored, a warm-restored engine replays the journaled
 //      result/sweep caches (first query a cache hit, > 0 entries of each
 //      kind), and every answer of the restored engines — at 1, 2, and 8
@@ -159,6 +161,9 @@ std::string JsonEscape(const std::string& s) {
 struct PersistGateResults {
   double rebuild_best_s = 0.0;  ///< best-of-3 Create, rebuild-from-source
   double mmap_best_s = 0.0;     ///< best-of-3 Create, snapshot-mmap path
+  /// Every snapshot-mmap Create served a zero-copy mapped index and
+  /// constructed no other.
+  bool index_mapped = true;
   uint64_t warm_results = 0;    ///< result-cache entries replayed at restart
   uint64_t warm_sweeps = 0;     ///< sweep-cache entries replayed at restart
   uint64_t warm_skipped = 0;    ///< journal records refused (wrong config)
@@ -175,10 +180,12 @@ struct PersistGateResults {
 std::string PersistJsonObject(const PersistGateResults& p) {
   return StrFormat(
       "{\"rebuild_cold_start_s\": %.6f, \"mmap_cold_start_s\": %.6f, "
-      "\"cold_start_speedup\": %.2f, \"warm_results_restored\": %llu, "
+      "\"cold_start_speedup\": %.2f, \"index_mapped\": %s, "
+      "\"warm_results_restored\": %llu, "
       "\"warm_sweeps_restored\": %llu, \"warm_skipped\": %llu, "
       "\"warm_first_query_hit\": %s, \"persist_ok\": %s}",
       p.rebuild_best_s, p.mmap_best_s, p.speedup(),
+      p.index_mapped ? "true" : "false",
       static_cast<unsigned long long>(p.warm_results),
       static_cast<unsigned long long>(p.warm_sweeps),
       static_cast<unsigned long long>(p.warm_skipped),
@@ -1244,9 +1251,11 @@ int main(int argc, char** argv) {
   //   (b) the first persistent engine (empty dir) rebuilds, auto-publishes
   //       the snapshot, answers bit-identically, and journals its caches;
   //   (c) Create against the published snapshot, best of 3, must report
-  //       snapshot_restored and run >= 10x faster than (a) — always gated:
-  //       the ratio compares an O(1) map against an O(L*m) index build,
-  //       so it holds on any host;
+  //       snapshot_restored and serve a zero-copy mapped index, the only
+  //       one it constructs (BfsSharingIndex::BuildCount counts the map as
+  //       one construction). Its speedup over (a) is
+  //       reported only: a ratio to a rebuild that other work keeps making
+  //       cheaper says nothing about the mmap path;
   //   (d) warm-restored engines at 1/2/8 threads replay > 0 result and
   //       sweep entries, serve the first query from the restored cache,
   //       and answer the whole mix bit-identically to (a).
@@ -1312,6 +1321,7 @@ int main(int argc, char** argv) {
 
     // (c) Mmap cold start against the published snapshot, best of 3.
     for (int run = 0; run < 3; ++run) {
+      const uint64_t builds_before = BfsSharingIndex::BuildCount();
       Timer wall;
       auto engine =
           bench::Unwrap(QueryEngine::Create(dataset.graph, restart_options),
@@ -1319,8 +1329,11 @@ int main(int argc, char** argv) {
       const double seconds = wall.ElapsedSeconds();
       persist.mmap_best_s =
           run == 0 ? seconds : std::min(persist.mmap_best_s, seconds);
-      persist.ok =
-          persist.ok && engine->warm_restore_report().snapshot_restored;
+      const QueryEngine::WarmRestoreReport& report =
+          engine->warm_restore_report();
+      persist.ok = persist.ok && report.snapshot_restored;
+      persist.index_mapped = persist.index_mapped && report.bfs_index_mapped &&
+                             BfsSharingIndex::BuildCount() == builds_before + 1;
     }
 
     // (d) Warm-restored replay, 1/2/8 threads.
@@ -1353,14 +1366,16 @@ int main(int argc, char** argv) {
     }
     persist.ok = persist.ok && persist.warm_results > 0 &&
                  persist.warm_sweeps > 0 && persist.warm_first_query_hit &&
-                 persist.speedup() >= 10.0;
+                 persist.index_mapped;
     fs::remove_all(persist_dir, ec);
 
     std::printf(
         "persistence gate: rebuild cold start %.3f s vs mmap %.4f s "
-        "(%.0fx, gated >= 10x); warm restore %llu results + %llu sweeps "
-        "(%llu skipped), first query %s: %s\n",
+        "(%.0fx, reported); mmap index %s; warm restore %llu results + "
+        "%llu sweeps (%llu skipped), first query %s: %s\n",
         persist.rebuild_best_s, persist.mmap_best_s, persist.speedup(),
+        persist.index_mapped ? "zero-copy, nothing rebuilt"
+                             : "NOT A ZERO-COPY MAPPED VIEW",
         static_cast<unsigned long long>(persist.warm_results),
         static_cast<unsigned long long>(persist.warm_sweeps),
         static_cast<unsigned long long>(persist.warm_skipped),

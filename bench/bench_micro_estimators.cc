@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark): per-query cost of each estimator at
-// fixed K on the LastFM analogue, plus the core primitives (possible-world
+// fixed K on the LastFM analogue (PrepareForNextQuery + Estimate, the
+// serving path's pair), plus the core primitives (possible-world
 // sampling, BFS Sharing's per-query world resampling and its word fill,
 // hop distances). Complements the table benches with tight per-op numbers.
 
@@ -49,9 +50,17 @@ void BM_Estimator(benchmark::State& state, EstimatorKind kind) {
   size_t qi = 0;
   uint64_t seed = 1;
   for (auto _ : state) {
+    // Re-arm before every query, as the serving path does: a no-op for most
+    // kinds, but for BFS Sharing the per-query world resample that
+    // dominates its cost.
+    const Status prepared = (*estimator)->PrepareForNextQuery(++seed);
+    if (!prepared.ok()) {
+      state.SkipWithError(prepared.ToString().c_str());
+      return;
+    }
     EstimateOptions opts;
     opts.num_samples = k;
-    opts.seed = ++seed;
+    opts.seed = seed;
     const auto result =
         (*estimator)->Estimate(fixture.queries[qi % fixture.queries.size()], opts);
     if (!result.ok()) {

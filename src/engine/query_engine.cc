@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -341,6 +342,10 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   RELCOMP_RETURN_NOT_OK(engine->InitRouter());
   if (engine->store_ != nullptr) {
     engine->warm_report_.snapshot_restored = snapshot_restored;
+    if (const auto* bfs = dynamic_cast<const BfsSharingEstimator*>(
+            engine->replicas_.front().get())) {
+      engine->warm_report_.bfs_index_mapped = bfs->shared_index()->mapped();
+    }
     if (!snapshot_restored && auto_snapshot) {
       // Best effort: a failed snapshot write (disk full, injected fault)
       // only costs the next restart its O(1) cold start.
@@ -680,51 +685,53 @@ void QueryEngine::FillFromValue(ResultCacheValue value, EngineResult* slot) {
   }
 }
 
-bool QueryEngine::TryServeWithoutCompute(
-    const ResultCacheKey& key, EngineResult* slot,
-    std::shared_ptr<InFlight>* leader_flight, const CancelToken* cancel,
-    obs::TraceBuffer* trace, uint32_t parent) {
-  // Fast path: lock-free-ish cache probe before touching the flight table.
+bool QueryEngine::ServeFromCache(const ResultCacheKey& key, EngineResult* slot,
+                                 ResultCache::Record record,
+                                 obs::TraceBuffer* trace, uint32_t parent) {
   // Deliberately NOT gated on the cancel token: a cache hit costs O(1) and
   // an already-computed answer is strictly more useful than a deadline
   // error, even to a late caller.
-  if (cache_ != nullptr) {
-    std::optional<ResultCacheValue> hit;
-    bool stale = false;
-    bool refresh_owner = false;
-    {
-      StageTimer probe(stage_cache_probe_, trace, obs::SpanKind::kCacheProbe,
-                       parent, /*detail=*/0);
-      if (options_.max_stale_seconds > 0.0) {
-        StaleLookupResult swr =
-            cache_->LookupStale(key, options_.max_stale_seconds);
-        hit = std::move(swr.value);
-        stale = swr.stale;
-        refresh_owner = swr.refresh_owner;
-      } else {
-        hit = cache_->Lookup(key);
-      }
-    }
-    if (hit) {
-      const bool negative = hit->negative();
-      FillFromValue(std::move(*hit), slot);
-      slot->seconds = 0.0;
-      slot->cache_hit = true;
-      slot->served_stale = stale;
-      if (negative) {
-        // Failure backoff: the cached error is served without recomputing.
-        // Counted as a failure (and as a cache negative_hit), never as a
-        // cache hit — executed + coalesced + failures + cache.hits must
-        // still equal queries.
-        stats_.RecordFailure(0.0);
-      } else {
-        stats_.RecordCacheHit();
-        if (stale) stats_.RecordStaleServed();
-      }
-      if (refresh_owner) ScheduleResultRefresh(key);
-      return true;
+  if (cache_ == nullptr) return false;
+  std::optional<ResultCacheValue> hit;
+  bool stale = false;
+  bool refresh_owner = false;
+  {
+    StageTimer probe(stage_cache_probe_, trace, obs::SpanKind::kCacheProbe,
+                     parent, /*detail=*/0);
+    if (options_.max_stale_seconds > 0.0) {
+      StaleLookupResult swr =
+          cache_->LookupStale(key, options_.max_stale_seconds, record);
+      hit = std::move(swr.value);
+      stale = swr.stale;
+      refresh_owner = swr.refresh_owner;
+    } else {
+      hit = cache_->Lookup(key, record);
     }
   }
+  if (!hit) return false;
+  const bool negative = hit->negative();
+  FillFromValue(std::move(*hit), slot);
+  slot->seconds = 0.0;
+  slot->cache_hit = true;
+  slot->served_stale = stale;
+  if (negative) {
+    // Failure backoff: the cached error is served without recomputing.
+    // Counted as a failure (and as a cache negative_hit), never as a cache
+    // hit — executed + coalesced + failures + cache.hits must still equal
+    // queries.
+    stats_.RecordFailure(0.0);
+  } else {
+    stats_.RecordCacheHit();
+    if (stale) stats_.RecordStaleServed();
+  }
+  if (refresh_owner) ScheduleResultRefresh(key);
+  return true;
+}
+
+bool QueryEngine::CoalesceOrLead(const ResultCacheKey& key, EngineResult* slot,
+                                 std::shared_ptr<InFlight>* leader_flight,
+                                 const CancelToken* cancel,
+                                 obs::TraceBuffer* trace, uint32_t parent) {
   if (!options_.enable_coalescing) return false;
 
   std::shared_ptr<InFlight> flight;
@@ -734,15 +741,15 @@ bool QueryEngine::TryServeWithoutCompute(
     // cache *before* retiring its flight entry, so this double-check makes
     // "N concurrent identical misses -> 1 estimator invocation" exact
     // rather than best-effort (no window where neither table covers a key).
-    // Uncounted probe (the user-level lookup was already recorded above, as
-    // a miss) — and accounted as *coalesced*, not a cache hit: the leader
-    // finished between our fast-path miss and taking the flight lock, so
-    // this query shared a twin's computation, and counting it as a hit
+    // Uncounted probe (the user-level lookup was already recorded by
+    // ServeFromCache, as a miss) — and accounted as *coalesced*, not a cache
+    // hit: the leader finished between that miss and taking the flight lock,
+    // so this query shared a twin's computation, and counting it as a hit
     // would contradict the miss already in the cache stats
     // (executed + coalesced + failures + cache.hits must equal queries).
     if (cache_ != nullptr) {
       if (std::optional<ResultCacheValue> hit =
-              cache_->Lookup(key, /*record_stats=*/false)) {
+              cache_->Lookup(key, ResultCache::Record::kNone)) {
         const bool negative = hit->negative();
         FillFromValue(std::move(*hit), slot);
         slot->seconds = 0.0;
@@ -1333,11 +1340,12 @@ void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
   }
 }
 
-void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries) {
+void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries,
+                             const std::vector<size_t>& misses) {
   if (!ScoutingEnabled() || options_.scout_max_sources == 0) return;
   std::unordered_map<NodeId, uint32_t> frequency;
-  for (const EngineQuery& query : queries) {
-    if (IsSweepWorkload(query.workload)) ++frequency[query.source];
+  for (size_t i : misses) {
+    if (IsSweepWorkload(queries[i].workload)) ++frequency[queries[i].source];
   }
   // Hottest first: a scout task is worth a pool slot only when several
   // queries will derive from its sweep.
@@ -1420,8 +1428,46 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
   return DispatchWorkload(estimator, query, estimate_options);
 }
 
-void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
-                         EngineResult* slot, uint64_t enqueue_ns) {
+bool QueryEngine::ServeOnCaller(const EngineQuery& query, EngineResult* slot) {
+  const uint64_t start_ns = StopwatchNs::Now();
+  slot->query = query;
+  slot->plan = PlanFor(query);
+  slot->seed = SeedForPlan(query, slot->plan);
+  if (cache_ == nullptr) return false;
+  const ResultCacheKey key{query, slot->plan.kind, slot->plan.num_samples,
+                           slot->seed};
+  // Hits only: a miss is counted by the worker's re-probe in RunOne, which
+  // must run anyway — a twin earlier in the same batch may publish (or lead
+  // a flight for) this key before the miss is dispatched. A traced hit's
+  // tree is its root and its probe, with no queue wait; a traced miss drops
+  // this buffer and its worker opens the tree.
+  std::optional<obs::TraceBuffer> buffer;  // ~4 KB: armed only when traced
+  uint32_t root = obs::TraceBuffer::kNone;
+  if (tracer_->engaged()) {
+    buffer.emplace();
+    buffer->Start(tracer_->NextQueryId(), obs::TraceBuffer::kCallerThread);
+    root = buffer->BeginAt(obs::SpanKind::kQuery, start_ns,
+                           obs::TraceBuffer::kNone,
+                           static_cast<uint32_t>(query.workload));
+  }
+  obs::TraceBuffer* trace = buffer ? &*buffer : nullptr;
+  if (!ServeFromCache(key, slot, ResultCache::Record::kHitsOnly, trace,
+                      root)) {
+    return false;
+  }
+  stats_.RecordWorkload(query.workload);
+  if (trace != nullptr) {
+    trace->End(root);
+    tracer_->Finish(*trace);
+  }
+  return true;
+}
+
+void QueryEngine::RunOne(size_t worker_id, EngineResult* slot,
+                         uint64_t enqueue_ns) {
+  const EngineQuery& query = slot->query;
+  const QueryPlan& plan = slot->plan;
+  const uint64_t query_seed = slot->seed;
   // Tracing: a stack-allocated span collector, armed only when the tracer is
   // engaged — an untraced query allocates nothing and every span call below
   // no-ops on the null buffer. The root opens at the Submit-time stamp, so
@@ -1439,11 +1485,6 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     buffer.End(buffer.BeginAt(obs::SpanKind::kQueueWait, enqueue_ns, root));
   }
 
-  const QueryPlan plan = PlanFor(query);
-  const uint64_t query_seed = SeedForPlan(query, plan);
-  slot->query = query;
-  slot->seed = query_seed;
-  slot->plan = plan;
   stats_.RecordWorkload(query.workload);
 
   // Deadline: per-query override, else the engine default; 0 = none. The
@@ -1463,7 +1504,8 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
 
   const ResultCacheKey key{query, plan.kind, plan.num_samples, query_seed};
   std::shared_ptr<InFlight> flight;
-  if (TryServeWithoutCompute(key, slot, &flight, cancel, trace, root)) {
+  if (ServeFromCache(key, slot, ResultCache::Record::kAll, trace, root) ||
+      CoalesceOrLead(key, slot, &flight, cancel, trace, root)) {
     if (trace != nullptr) {
       buffer.End(root);
       tracer_->Finish(buffer);
@@ -1542,30 +1584,34 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
           StrFormat("query %zu: %s", i, valid.message().c_str()));
     }
   }
-  // Warm-ahead scout pass: the batch's hottest sweep sources get stratified
+  stats_.MarkCallStart();
+  Timer wall;
+  std::vector<EngineResult> results(queries.size());
+  // Cache hits finish here on the calling thread; only misses ride the pool.
+  std::vector<size_t> misses;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!ServeOnCaller(queries[i], &results[i])) misses.push_back(i);
+  }
+  // Warm-ahead scout pass: the misses' hottest sweep sources get stratified
   // warm tasks enqueued ahead of the queries, so their sweeps are leading
   // (and stealable) by the time the queries that need them dispatch.
-  ScoutBatch(queries);
-  stats_.MarkCallStart();
+  ScoutBatch(queries, misses);
   auto state = std::make_shared<CallState>();
-  state->pending = queries.size();
-  std::vector<EngineResult> results(queries.size());
-  Timer wall;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const EngineQuery query = queries[i];
-    EngineResult* slot = &results[i];
+  state->pending = misses.size();
+  for (size_t m = 0; m < misses.size(); ++m) {
+    EngineResult* slot = &results[misses[m]];
     const uint64_t enqueue_ns = StopwatchNs::Now();
     const Status submitted = pool_->Submit(
-        [this, query, slot, state, enqueue_ns](size_t worker_id) {
-          RunOne(worker_id, query, slot, enqueue_ns);
+        [this, slot, state, enqueue_ns](size_t worker_id) {
+          RunOne(worker_id, slot, enqueue_ns);
           std::lock_guard<std::mutex> lock(state->mutex);
           if (--state->pending == 0) state->done.notify_all();
         });
     if (!submitted.ok()) {
       {
-        // The tasks from queries [i, n) never made it into the pool.
+        // The tasks from misses [m, end) never made it into the pool.
         std::lock_guard<std::mutex> lock(state->mutex);
-        state->pending -= queries.size() - i;
+        state->pending -= misses.size() - m;
         if (state->pending == 0) state->done.notify_all();
       }
       AwaitCall(*state);  // queued tasks hold `results` slot pointers
@@ -1589,25 +1635,17 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
   return RunBatch(wrapped);
 }
 
-bool QueryEngine::ServableFromCache(const EngineQuery& query) const {
-  const QueryPlan plan = PlanFor(query);
-  const uint64_t query_seed = SeedForPlan(query, plan);
-  if (cache_ != nullptr &&
-      cache_->Contains(ResultCacheKey{query, plan.kind, plan.num_samples,
-                                      query_seed})) {
-    return true;
-  }
+bool QueryEngine::ServableFromCache(const EngineResult& slot) const {
   // A memoized sweep answers any k / eta over its source without an
   // estimator — deriving is a rank/filter pass, cheap enough to admit.
-  if (sweep_cache_ != nullptr && IsSweepWorkload(query.workload) &&
-      sweep_cache_->Contains(SweepCacheKey{plan.kind, query.source,
-                                           plan.num_samples, query_seed})) {
-    return true;
-  }
-  return false;
+  return sweep_cache_ != nullptr && IsSweepWorkload(slot.query.workload) &&
+         sweep_cache_->Contains(SweepCacheKey{slot.plan.kind,
+                                              slot.query.source,
+                                              slot.plan.num_samples,
+                                              slot.seed});
 }
 
-Status QueryEngine::AdmitQuery(const EngineQuery& query) {
+Status QueryEngine::AdmitQuery(const EngineResult& slot) {
   const size_t depth = pool_->queue_depth();
   const char* reason = nullptr;
   if (depth >= pool_->queue_capacity()) {
@@ -1617,9 +1655,9 @@ Status QueryEngine::AdmitQuery(const EngineQuery& query) {
     reason = "queue_full";
   } else if (options_.shed_queue_depth > 0 &&
              depth >= options_.shed_queue_depth &&
-             !ServableFromCache(query)) {
-    // Predictive gate: past the threshold only cache-servable work — which
-    // occupies a worker for microseconds — is admitted. Compute-bound
+             !ServableFromCache(slot)) {
+    // Predictive gate: past the threshold only sweep-cache-servable work —
+    // which occupies a worker for microseconds — is admitted. Compute-bound
     // queries are cheap to retry *before* they are computed; that is the
     // moment to refuse them.
     reason = "overload";
@@ -1693,8 +1731,13 @@ void QueryEngine::ScheduleSweepRefresh(const SweepCacheKey& key,
 
 Status QueryEngine::Submit(const EngineQuery& query) {
   RELCOMP_RETURN_NOT_OK(ValidateWorkload(graph_, query));
-  if (options_.enable_load_shedding) {
-    RELCOMP_RETURN_NOT_OK(AdmitQuery(query));
+  auto result = std::make_unique<EngineResult>();
+  EngineResult* slot = result.get();
+  // A cache hit is finished here on the calling thread and is never shed:
+  // admission only weighs work that would occupy a worker.
+  const bool served = ServeOnCaller(query, slot);
+  if (!served && options_.enable_load_shedding) {
+    RELCOMP_RETURN_NOT_OK(AdmitQuery(*slot));
   }
   // The pool submit happens under stream_mutex_ so a concurrent Drain either
   // sees this query fully enqueued (and waits for it) or not at all (next
@@ -1704,6 +1747,9 @@ Status QueryEngine::Submit(const EngineQuery& query) {
     stream_timer_.Restart();
     stream_state_ = std::make_shared<CallState>();
   }
+  stats_.MarkCallStart();
+  stream_results_.push_back(std::move(result));
+  if (served) return Status::OK();
   if (ScoutingEnabled() && IsSweepWorkload(query.workload)) {
     // Stream-side warm-ahead: the second submission of a source in one
     // cycle marks it hot; a scout task enqueued *before* this query's own
@@ -1715,9 +1761,6 @@ Status QueryEngine::Submit(const EngineQuery& query) {
       });
     }
   }
-  stats_.MarkCallStart();
-  stream_results_.push_back(std::make_unique<EngineResult>());
-  EngineResult* slot = stream_results_.back().get();
   std::shared_ptr<CallState> state = stream_state_;
   {
     std::lock_guard<std::mutex> state_lock(state->mutex);
@@ -1725,8 +1768,8 @@ Status QueryEngine::Submit(const EngineQuery& query) {
   }
   const uint64_t enqueue_ns = StopwatchNs::Now();
   const Status submitted = pool_->Submit(
-      [this, query, slot, state, enqueue_ns](size_t worker_id) {
-        RunOne(worker_id, query, slot, enqueue_ns);
+      [this, slot, state, enqueue_ns](size_t worker_id) {
+        RunOne(worker_id, slot, enqueue_ns);
         std::lock_guard<std::mutex> state_lock(state->mutex);
         if (--state->pending == 0) state->done.notify_all();
       });

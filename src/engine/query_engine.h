@@ -290,7 +290,8 @@ class QueryEngine {
   /// [0, 1]) fail the whole batch up front (first error wins) — batches are
   /// meant to be pre-validated workloads. Estimator failures during
   /// execution do NOT fail the batch: they land in the corresponding
-  /// EngineResult::status.
+  /// EngineResult::status. Result-cache hits are served on the calling
+  /// thread; only the misses are handed to the worker pool.
   Result<std::vector<EngineResult>> RunBatch(
       const std::vector<EngineQuery>& queries);
 
@@ -299,7 +300,8 @@ class QueryEngine {
       const std::vector<ReliabilityQuery>& queries);
 
   /// Stream interface: enqueues one query (blocking while the work queue is
-  /// full) for asynchronous execution.
+  /// full) for asynchronous execution. A result-cache hit is finished on the
+  /// calling thread instead and never enqueued (nor shed).
   Status Submit(const EngineQuery& query);
   Status Submit(const ReliabilityQuery& query) {
     return Submit(EngineQuery(query));
@@ -383,6 +385,9 @@ class QueryEngine {
   struct WarmRestoreReport {
     bool attempted = false;         ///< persist_dir set and warm_restore on
     bool snapshot_restored = false; ///< indexes restored from the snapshot
+    /// The BFS-Sharing index reads the mapped snapshot in place (zero-copy):
+    /// Create touched none of its L·m words.
+    bool bfs_index_mapped = false;
     bool torn_tail = false;         ///< journal ended in a torn frame
     uint64_t sweep_entries = 0;     ///< sweeps folded back into the cache
     uint64_t result_entries = 0;    ///< results folded back into the cache
@@ -503,15 +508,23 @@ class QueryEngine {
     bool stale = false;
   };
 
-  /// Executes one query on `worker_id`'s replica (or serves it from cache /
-  /// an in-flight twin), writing outcome and per-query status into `slot`.
-  /// `enqueue_ns` is the Submit-time stamp (the root span's begin and the
-  /// queue-wait span's extent when the query is traced).
+  /// Calling-thread half of every RunBatch / Submit query: fixes the slot's
+  /// identity (query, plan, seed) and probes the result cache, counting
+  /// hits only. True when the slot was served — the query never reaches the
+  /// pool and counts its workload here. A miss is left uncounted for the
+  /// worker's re-probe in RunOne, so each query's outcome counts once.
+  bool ServeOnCaller(const EngineQuery& query, EngineResult* slot);
+
+  /// Worker half of a query ServeOnCaller did not serve: re-probes the
+  /// result cache (a batch twin may have published meanwhile), then joins or
+  /// leads the query's flight and computes on `worker_id`'s replica, writing
+  /// outcome and per-query status into `slot`. `enqueue_ns` is the
+  /// Submit-time stamp (the root span's begin and the queue-wait span's
+  /// extent when the query is traced).
   ///
   /// The `trace` / parent-span parameters threaded through the methods below
   /// are nullptr / kNone for untraced queries; every span call no-ops then.
-  void RunOne(size_t worker_id, const EngineQuery& query, EngineResult* slot,
-              uint64_t enqueue_ns);
+  void RunOne(size_t worker_id, EngineResult* slot, uint64_t enqueue_ns);
 
   /// Compute path of one query (after the cache / query-level flight said
   /// miss): sweep kinds go through the sweep-sharing layer, everything else
@@ -622,33 +635,46 @@ class QueryEngine {
   /// creation). No-op when the router is off.
   Status InitRouter();
 
-  /// Enqueues scout warm tasks for the most frequent sweep sources of
-  /// `queries` (frequency >= 2, capped at scout_max_sources), ahead of the
-  /// batch's own tasks in the pool's FIFO.
-  void ScoutBatch(const std::vector<EngineQuery>& queries);
+  /// Enqueues scout warm tasks for the most frequent sweep sources among
+  /// `queries[i]` for i in `misses` (frequency >= 2, capped at
+  /// scout_max_sources), ahead of the batch's own tasks in the pool's FIFO.
+  void ScoutBatch(const std::vector<EngineQuery>& queries,
+                  const std::vector<size_t>& misses);
 
-  /// Cache lookup + single-flight rendezvous for `key`. Returns true when
-  /// `slot` was fully served (cache hit — positive or negative — or
-  /// coalesced); otherwise the caller is the leader (or coalescing is off)
-  /// and must compute, then call FinishFlight with the outcome.
-  /// `cancel` (nullable) bounds the coalesced-follower wait: a follower
-  /// whose token trips stops waiting and fails with the token's transient
-  /// status (counted as a failure, not coalesced); the flight completes
-  /// normally for everyone else.
-  bool TryServeWithoutCompute(const ResultCacheKey& key, EngineResult* slot,
-                              std::shared_ptr<InFlight>* leader_flight,
-                              const CancelToken* cancel,
-                              obs::TraceBuffer* trace, uint32_t parent);
+  /// Result-cache probe for `key` (positive, negative, and — with
+  /// max_stale_seconds — stale-while-revalidate). On a hit fills `slot`,
+  /// records the outcome, schedules the refresh this probe owns, and
+  /// returns true. `record` says whether a miss counts (the worker's probe)
+  /// or is left to a later probe (the caller's). False when the cache is
+  /// off.
+  bool ServeFromCache(const ResultCacheKey& key, EngineResult* slot,
+                      ResultCache::Record record, obs::TraceBuffer* trace,
+                      uint32_t parent);
 
-  /// Load-shedding admission gate for the stream path (Submit): OK admits;
-  /// kUnavailable (with a retry_after_ms hint) sheds. Shed queries never
-  /// enter the engine, so they are invisible to the query-partition
-  /// invariant (executed + coalesced + failures + cache hits == queries).
-  Status AdmitQuery(const EngineQuery& query);
+  /// Single-flight rendezvous for `key`, after ServeFromCache missed.
+  /// Returns true when `slot` was fully served (by the cache double-check
+  /// or a coalesced leader); otherwise the caller is the leader (or
+  /// coalescing is off) and must compute, then call FinishFlight with the
+  /// outcome. `cancel` (nullable) bounds the coalesced-follower wait: a
+  /// follower whose token trips stops waiting and fails with the token's
+  /// transient status (counted as a failure, not coalesced); the flight
+  /// completes normally for everyone else.
+  bool CoalesceOrLead(const ResultCacheKey& key, EngineResult* slot,
+                      std::shared_ptr<InFlight>* leader_flight,
+                      const CancelToken* cancel, obs::TraceBuffer* trace,
+                      uint32_t parent);
 
-  /// True when `query` will resolve from the result or sweep cache without
-  /// occupying a worker — such queries are always admitted under overload.
-  bool ServableFromCache(const EngineQuery& query) const;
+  /// Load-shedding admission gate for the stream path (Submit) over a slot
+  /// ServeOnCaller did not serve: OK admits; kUnavailable (with a
+  /// retry_after_ms hint) sheds. Shed queries never enter the engine, so
+  /// they are invisible to the query-partition invariant (executed +
+  /// coalesced + failures + cache hits == queries).
+  Status AdmitQuery(const EngineResult& slot);
+
+  /// True when `slot`'s query will derive from a memoized sweep without
+  /// running an estimator — such queries are always admitted under
+  /// overload. (Result-cache hits never reach admission.)
+  bool ServableFromCache(const EngineResult& slot) const;
 
   /// Kicks off the background stale-while-revalidate recompute this caller
   /// owns (LookupStale handed it refresh_owner). Best-effort: a full pool

@@ -77,26 +77,26 @@ void ResultCache::RemoveEntry(
 }
 
 std::optional<ResultCacheValue> ResultCache::Lookup(const ResultCacheKey& key,
-                                                    bool record_stats) {
+                                                    Record record) {
   const HashedKey hashed{key, key.Hash()};
   Shard& shard = ShardFor(hashed.hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(hashed);
   if (it == shard.index.end()) {
-    if (record_stats) misses_->Inc();
+    if (record == Record::kAll) misses_->Inc();
     return std::nullopt;
   }
   if (it->second->expires && StopwatchNs::Now() >= it->second->deadline_ns) {
     // Lazy expiry: the deadline elapsed, so the entry is dead weight — drop
     // it and let the caller recompute (a miss). Expiry is counted even on
-    // uncounted probes: the entry really is gone either way.
+    // probes that do not count misses: the entry really is gone either way.
     RemoveEntry(shard, it);
     expired_->Inc();
-    if (record_stats) misses_->Inc();
+    if (record == Record::kAll) misses_->Inc();
     return std::nullopt;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  if (record_stats) {
+  if (record != Record::kNone) {
     if (it->second->value.negative()) {
       negative_hits_->Inc();
     } else {
@@ -108,14 +108,14 @@ std::optional<ResultCacheValue> ResultCache::Lookup(const ResultCacheKey& key,
 
 StaleLookupResult ResultCache::LookupStale(const ResultCacheKey& key,
                                            double max_stale_seconds,
-                                           bool record_stats) {
+                                           Record record) {
   StaleLookupResult result;
   const HashedKey hashed{key, key.Hash()};
   Shard& shard = ShardFor(hashed.hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(hashed);
   if (it == shard.index.end()) {
-    if (record_stats) misses_->Inc();
+    if (record == Record::kAll) misses_->Inc();
     return result;
   }
   Entry& entry = *it->second;
@@ -133,7 +133,7 @@ StaleLookupResult ResultCache::LookupStale(const ResultCacheKey& key,
       // entry too old to serve is dead weight.
       RemoveEntry(shard, it);
       expired_->Inc();
-      if (record_stats) misses_->Inc();
+      if (record == Record::kAll) misses_->Inc();
       return result;
     }
     result.stale = true;
@@ -144,7 +144,7 @@ StaleLookupResult ResultCache::LookupStale(const ResultCacheKey& key,
     stale_served_->Inc();
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  if (record_stats) {
+  if (record != Record::kNone) {
     if (entry.value.negative()) {
       negative_hits_->Inc();
     } else {
@@ -161,18 +161,6 @@ void ResultCache::ClearRefreshPending(const ResultCacheKey& key) {
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(hashed);
   if (it != shard.index.end()) it->second->refresh_pending = false;
-}
-
-bool ResultCache::Contains(const ResultCacheKey& key) const {
-  const HashedKey hashed{key, key.Hash()};
-  Shard& shard = *shards_[hashed.hash & (shards_.size() - 1)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(hashed);
-  if (it == shard.index.end()) return false;
-  // Expired entries are absent for the caller's purposes; leave the lazy
-  // removal to the next counted Lookup.
-  return !(it->second->expires &&
-           StopwatchNs::Now() >= it->second->deadline_ns);
 }
 
 void ResultCache::Insert(const ResultCacheKey& key,

@@ -134,22 +134,25 @@ class ResultCache {
   /// target payload and any status message.
   static size_t EntryBytes(const ResultCacheValue& value);
 
+  /// Which lookup outcomes are counted into Stats(). Engines probe one
+  /// query more than once; each outcome must still count exactly once.
+  enum class Record {
+    kAll,       ///< hits, negative hits and misses
+    kHitsOnly,  ///< hits and negative hits; a miss is left to a later probe
+    kNone,      ///< invisible (internal double-checks)
+  };
+
   /// Returns the cached value and refreshes its recency, or nullopt.
   /// A returned value with non-OK `status` is a negative entry (cached
-  /// failure). `record_stats` = false makes the probe invisible to Stats() —
-  /// for internal double-checks (the engine's single-flight rendezvous
-  /// re-probes under its flight lock) that would otherwise count one
-  /// user-level query as two lookups.
+  /// failure). `record` chooses what Stats() counts: kNone serves internal
+  /// double-checks (the engine's single-flight rendezvous re-probes under
+  /// its flight lock), kHitsOnly a first probe whose miss is counted by the
+  /// probe that follows it (the engine's caller-thread probe).
   std::optional<ResultCacheValue> Lookup(const ResultCacheKey& key,
-                                         bool record_stats = true);
-
-  /// True when a live (unexpired) entry exists for `key`. Touches neither
-  /// recency nor stats and copies no payload — a pure probe, e.g. for the
-  /// engine's load-shedding gate deciding whether a query is cache-servable.
-  bool Contains(const ResultCacheKey& key) const;
+                                         Record record = Record::kAll);
 
   /// Stale-while-revalidate lookup. Fresh entries behave exactly like
-  /// Lookup(). A TTL-expired *positive* entry whose deadline elapsed less
+  /// Lookup() (`record` included). A TTL-expired *positive* entry whose deadline elapsed less
   /// than `max_stale_seconds` ago is served anyway with `stale` set, and the
   /// first such observer gets `refresh_owner` = true (the entry's pending
   /// flag debounces the refresh to one owner per stale episode). Because
@@ -160,7 +163,7 @@ class ResultCache {
   /// past the stale window the entry is dropped and the lookup is a miss.
   StaleLookupResult LookupStale(const ResultCacheKey& key,
                                 double max_stale_seconds,
-                                bool record_stats = true);
+                                Record record = Record::kAll);
 
   /// Releases the refresh-pending flag on `key`, re-arming LookupStale to
   /// elect a new refresh owner. For owners whose background refresh could

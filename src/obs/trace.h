@@ -46,21 +46,25 @@ struct TraceSpan {
   uint32_t span_id = 0;
   uint32_t parent_id = 0;  ///< TraceBuffer::kNone for the root
   uint32_t detail = 0;     ///< kind-specific (stratum index, workload tag)
-  uint32_t thread = 0;     ///< worker id that recorded the span
+  uint32_t thread = 0;     ///< worker id (or kCallerThread) that recorded it
   SpanKind kind = SpanKind::kQuery;
 };
 
 /// \brief Fixed-capacity span collector for one traced query.
 ///
-/// Lives on the worker's stack for the duration of RunOne: Begin/End never
-/// allocate, never lock, and never fail (a full buffer counts drops instead).
-/// Single-threaded by design — a query executes on exactly one worker, and
+/// Lives on the stack of the thread serving the query (its worker, or the
+/// calling thread for a cache hit): Begin/End never allocate, never lock,
+/// and never fail (a full buffer counts drops instead). Single-threaded by
+/// design — a query executes on exactly one thread, and
 /// estimator-internal spans reach the same buffer through
 /// EstimateOptions::trace on that same thread.
 class TraceBuffer {
  public:
   static constexpr uint32_t kNone = 0xffffffffu;
   static constexpr uint32_t kCapacity = 96;
+  /// Thread id of spans recorded on the client's calling thread (a cache
+  /// hit served before it reached a worker).
+  static constexpr uint32_t kCallerThread = 0xfffffffeu;
 
   /// Arms the buffer for one query; spans recorded before Start are dropped.
   void Start(uint64_t query_id, uint32_t thread) {

@@ -406,6 +406,7 @@ TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
         QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 2));
     ASSERT_TRUE(first.ok()) << first.status();
     EXPECT_FALSE(first.value()->warm_restore_report().snapshot_restored);
+    EXPECT_FALSE(first.value()->warm_restore_report().bfs_index_mapped);
     ASSERT_TRUE(fs::exists(first.value()->persist_store()->snapshot_path()));
   }
 
@@ -416,6 +417,9 @@ TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
         QueryEngine::Create(graph, PersistEngineOptions(dir.path(), threads));
     ASSERT_TRUE(restored.ok()) << restored.status();
     EXPECT_TRUE(restored.value()->warm_restore_report().snapshot_restored)
+        << threads << " threads";
+    // Zero-copy: the engine reads the index out of the mapping.
+    EXPECT_TRUE(restored.value()->warm_restore_report().bfs_index_mapped)
         << threads << " threads";
     Result<std::vector<EngineResult>> results =
         restored.value()->RunBatch(queries);

@@ -1,11 +1,14 @@
 #include "engine/query_engine.h"
 
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "reliability/estimator_factory.h"
 #include "test_util.h"
 
@@ -456,6 +459,268 @@ TEST(QueryEngineTest, StressTenThousandQueries) {
   const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
   EXPECT_EQ(snapshot.queries, 10000u);
   EXPECT_GT(snapshot.cache.hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Cache hits served on the calling thread
+// ---------------------------------------------------------------------------
+
+/// Tasks the serving pool has dispatched so far (the pool records one
+/// queue_wait sample per task).
+uint64_t PoolTasks(const QueryEngine& engine) {
+  return engine.metrics()
+      .GetHistogram("engine_stage_latency_ns", "stage", "queue_wait")
+      ->Snapshot()
+      .count;
+}
+
+void ExpectPartition(const EngineStatsSnapshot& stats) {
+  EXPECT_EQ(stats.executed + stats.coalesced + stats.failures +
+                stats.cache.hits,
+            stats.queries)
+      << "executed=" << stats.executed << " coalesced=" << stats.coalesced
+      << " failures=" << stats.failures << " cache_hits=" << stats.cache.hits;
+}
+
+TEST(CallerHitPathTest, WarmBatchAndStreamHitsNeverReachThePool) {
+  const UncertainGraph graph = RandomSmallGraph(16, 48, 0.3, 0.9, 7);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
+  options.refresh_lane_threads = 0;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  const std::vector<ReliabilityQuery> query = {{0, 5}};
+
+  const std::vector<EngineResult> cold = engine->RunBatch(query).MoveValue();
+  ASSERT_TRUE(cold[0].ok());
+  EXPECT_FALSE(cold[0].cache_hit);
+  const uint64_t tasks = PoolTasks(*engine);
+  EXPECT_EQ(tasks, 1u);
+
+  const std::vector<EngineResult> warm = engine->RunBatch(query).MoveValue();
+  EXPECT_TRUE(warm[0].cache_hit);
+  EXPECT_EQ(warm[0].seed, cold[0].seed);
+  EXPECT_EQ(warm[0].seconds, 0.0);
+
+  ASSERT_TRUE(engine->Submit(query[0]).ok());
+  const std::vector<EngineResult> streamed = engine->Drain().MoveValue();
+  ASSERT_EQ(streamed.size(), 1u);
+  EXPECT_TRUE(streamed[0].cache_hit);
+  ExpectBitIdentical(cold, warm);
+  ExpectBitIdentical(cold, streamed);
+  // Neither hit became a pool task.
+  EXPECT_EQ(PoolTasks(*engine), tasks);
+  const EngineStatsSnapshot stats = engine->StatsSnapshot();
+  EXPECT_EQ(stats.queries, 3u);
+  EXPECT_EQ(stats.cache.hits, 2u);
+  ExpectPartition(stats);
+}
+
+TEST(CallerHitPathTest, HitsAndMissesAreEachCountedOnce) {
+  // A miss is probed twice (caller, then worker) and a hit once; either way
+  // one query is one counted lookup.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 17);
+  const std::vector<ReliabilityQuery> queries = AllPairsWorkload(graph, 24);
+  auto engine =
+      QueryEngine::Create(graph, BaseOptions(4, EstimatorKind::kMonteCarlo))
+          .MoveValue();
+
+  ASSERT_TRUE(engine->RunBatch(queries).ok());
+  ResultCacheStats stats = engine->cache()->Stats();
+  EXPECT_EQ(stats.misses, queries.size());
+  EXPECT_EQ(stats.hits, 0u);
+
+  ASSERT_TRUE(engine->RunBatch(queries).ok());
+  for (const ReliabilityQuery& query : queries) {
+    ASSERT_TRUE(engine->Submit(query).ok());
+  }
+  ASSERT_EQ(engine->Drain().MoveValue().size(), queries.size());
+  stats = engine->cache()->Stats();
+  EXPECT_EQ(stats.misses, queries.size());
+  EXPECT_EQ(stats.hits, 2 * queries.size());
+  EXPECT_EQ(stats.lookups(), 3 * queries.size());
+  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
+  EXPECT_EQ(snapshot.queries, 3 * queries.size());
+  EXPECT_EQ(snapshot.executed, queries.size());
+  ExpectPartition(snapshot);
+}
+
+TEST(CallerHitPathTest, NegativeHitOnTheCallerCountsAsAFailure) {
+  // K = 400 exceeds L = 100 indexed worlds: the query fails in the
+  // estimator, and the failure is negative-cached.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 41);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
+  options.factory.bfs_sharing.index_samples = 100;
+  options.negative_cache_ttl = 60.0;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  const std::vector<ReliabilityQuery> query = {{0, 5}};
+
+  const std::vector<EngineResult> first = engine->RunBatch(query).MoveValue();
+  EXPECT_EQ(first[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(first[0].cache_hit);
+  const uint64_t tasks = PoolTasks(*engine);
+
+  const std::vector<EngineResult> again = engine->RunBatch(query).MoveValue();
+  EXPECT_EQ(again[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(again[0].cache_hit);
+  EXPECT_EQ(PoolTasks(*engine), tasks);
+  const EngineStatsSnapshot stats = engine->StatsSnapshot();
+  EXPECT_EQ(stats.failures, 2u);
+  EXPECT_EQ(stats.cache.negative_hits, 1u);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  ExpectPartition(stats);
+}
+
+TEST(CallerHitPathTest, StaleHitsScheduleExactlyOneRefresh) {
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 19);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
+  options.cache_ttl = 0.5;
+  options.max_stale_seconds = 30.0;
+  options.refresh_lane_threads = 0;  // refreshes ride the counted pool
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  const std::vector<ReliabilityQuery> query = {{0, 9}};
+
+  const std::vector<EngineResult> fresh = engine->RunBatch(query).MoveValue();
+  ASSERT_TRUE(fresh[0].ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));  // expire
+  const uint64_t tasks = PoolTasks(*engine);
+
+  // Eight stale hits in one batch, all on the calling thread: one of them
+  // owns the refresh, and the refresh is the only new pool task.
+  const std::vector<ReliabilityQuery> copies(8, query[0]);
+  const std::vector<EngineResult> stale = engine->RunBatch(copies).MoveValue();
+  size_t served_stale = 0;
+  for (const EngineResult& result : stale) {
+    EXPECT_TRUE(result.cache_hit);
+    EXPECT_TRUE(result.served_stale);
+    served_stale += result.served_stale;
+  }
+  ExpectBitIdentical(std::vector<EngineResult>(copies.size(), fresh[0]),
+                     stale);
+  for (int i = 0; i < 500 && PoolTasks(*engine) == tasks; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(PoolTasks(*engine), tasks + 1);
+  // Once the refresh lands, the key serves fresh again.
+  bool refreshed = false;
+  for (int i = 0; i < 100 && !refreshed; ++i) {
+    refreshed = !engine->RunBatch(query).MoveValue()[0].served_stale;
+    if (!refreshed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(refreshed);
+  const EngineStatsSnapshot stats = engine->StatsSnapshot();
+  EXPECT_GE(stats.stale_served, served_stale);
+  EXPECT_EQ(stats.executed, 1u);
+  ExpectPartition(stats);
+}
+
+TEST(CallerHitPathTest, IdenticalMissesInOneBatchRunTheEstimatorOnce) {
+  // Every copy misses on the calling thread (nothing is cached yet), so all
+  // of them ride the pool; the worker's re-probe and the flight still
+  // collapse them onto one estimator call.
+  const UncertainGraph graph = RandomSmallGraph(30, 90, 0.2, 0.8, 61);
+  EngineOptions options = BaseOptions(4, EstimatorKind::kMonteCarlo);
+  options.num_samples = 2000;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  const std::vector<ReliabilityQuery> queries(16, ReliabilityQuery{0, 17});
+  const std::vector<EngineResult> results =
+      engine->RunBatch(queries).MoveValue();
+  EXPECT_EQ(PoolTasks(*engine), queries.size());
+  const EngineStatsSnapshot stats = engine->StatsSnapshot();
+  EXPECT_EQ(stats.executed, 1u);
+  EXPECT_EQ(stats.coalesced + stats.cache.hits, queries.size() - 1);
+  EXPECT_EQ(stats.cache.lookups(), queries.size());
+  ExpectPartition(stats);
+  ExpectBitIdentical(std::vector<EngineResult>(queries.size(), results[0]),
+                     results);
+}
+
+TEST(CallerHitPathTest, AnswersAreBitIdenticalAtEveryThreadCount) {
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.9, 23);
+  std::vector<EngineQuery> queries;
+  for (NodeId t = 1; t < 12; ++t) queries.push_back(EngineQuery::St(0, t));
+  queries.push_back(EngineQuery::TopK(0, 4));
+  queries.push_back(EngineQuery::ReliableSet(0, 0.4));
+  queries.push_back(EngineQuery::Distance(1, 7, 3));
+  queries.push_back(EngineQuery::St(0, 3));  // an in-batch repeat
+  auto reference =
+      QueryEngine::Create(graph, BaseOptions(1, EstimatorKind::kMonteCarlo,
+                                             /*cache=*/false))
+          .MoveValue();
+  const std::vector<EngineResult> expected =
+      reference->RunBatch(queries).MoveValue();
+
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    auto engine =
+        QueryEngine::Create(graph, BaseOptions(threads,
+                                               EstimatorKind::kMonteCarlo))
+            .MoveValue();
+    const std::vector<EngineResult> cold =
+        engine->RunBatch(queries).MoveValue();
+    const std::vector<EngineResult> warm =
+        engine->RunBatch(queries).MoveValue();
+    for (const EngineQuery& query : queries) {
+      ASSERT_TRUE(engine->Submit(query).ok());
+    }
+    const std::vector<EngineResult> streamed = engine->Drain().MoveValue();
+    for (const std::vector<EngineResult>* run : {&cold, &warm, &streamed}) {
+      ExpectBitIdentical(expected, *run);
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ((*run)[i].targets.size(), expected[i].targets.size());
+        for (size_t j = 0; j < expected[i].targets.size(); ++j) {
+          EXPECT_EQ((*run)[i].targets[j].node, expected[i].targets[j].node);
+          EXPECT_EQ(std::memcmp(&(*run)[i].targets[j].reliability,
+                                &expected[i].targets[j].reliability,
+                                sizeof(double)),
+                    0);
+        }
+      }
+    }
+    for (const EngineResult& result : warm) {
+      EXPECT_TRUE(result.cache_hit) << threads << " threads";
+    }
+    ExpectPartition(engine->StatsSnapshot());
+  }
+}
+
+TEST(CallerHitPathTest, TracedCallerHitHasARootAndAProbeButNoQueueWait) {
+  const UncertainGraph graph = RandomSmallGraph(16, 48, 0.3, 0.9, 29);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
+  options.trace_sample_rate = 1.0;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  const std::vector<ReliabilityQuery> query = {{0, 6}};
+  ASSERT_TRUE(engine->RunBatch(query).ok());
+  ASSERT_TRUE(engine->RunBatch(query).MoveValue()[0].cache_hit);
+
+  // The hit is the newest traced query.
+  std::map<uint64_t, std::vector<obs::TraceSpan>> by_query;
+  for (const obs::TraceSpan& span : engine->tracer().ring()->Snapshot()) {
+    by_query[span.query_id].push_back(span);
+  }
+  ASSERT_EQ(by_query.size(), 2u);
+  const std::vector<obs::TraceSpan>& hit = by_query.rbegin()->second;
+  size_t roots = 0;
+  size_t probes = 0;
+  for (const obs::TraceSpan& span : hit) {
+    EXPECT_NE(span.kind, obs::SpanKind::kQueueWait);
+    EXPECT_EQ(span.thread, obs::TraceBuffer::kCallerThread);
+    if (span.kind == obs::SpanKind::kQuery) {
+      ++roots;
+      EXPECT_EQ(span.parent_id, obs::TraceBuffer::kNone);
+    }
+    if (span.kind == obs::SpanKind::kCacheProbe) {
+      ++probes;
+      EXPECT_EQ(span.detail, 0u);  // the result cache
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+  EXPECT_EQ(probes, 1u);
+  EXPECT_EQ(hit.size(), 2u);
+  // The cold query, by contrast, queued on a worker.
+  bool queued = false;
+  for (const obs::TraceSpan& span : by_query.begin()->second) {
+    queued |= span.kind == obs::SpanKind::kQueueWait;
+  }
+  EXPECT_TRUE(queued);
 }
 
 }  // namespace

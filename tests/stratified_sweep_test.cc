@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "engine/query_engine.h"
 #include "reliability/bfs_sharing.h"
@@ -260,9 +261,21 @@ TEST(StratifiedSweepTest, BfsSharingSweepsIgnoreStratumCount) {
 TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
   const UncertainGraph graph = RandomSmallGraph(40, 150, 0.3, 0.9, 77);
   EngineOptions options = BaseOptions(8, EstimatorKind::kMonteCarlo, 16);
-  options.num_samples = 2000;   // a sweep heavy enough to overlap claims
+  options.num_samples = 2000;
   options.enable_cache = false;
   options.enable_sweep_scout = false;  // isolate query-driven stealing
+  // Every stratum sleeps 3 ms before it runs (pure latency: answers are
+  // untouched), so the leader cannot drain all 16 strata before the
+  // coalesced waiters join: the overlap is certain rather than a race.
+  struct ScopedStratumLatency {
+    ScopedStratumLatency() {
+      FaultPlan plan;
+      plan.probability[static_cast<size_t>(FaultSite::kInducedLatency)] = 1.0;
+      plan.latency_us = 3000;
+      FaultInjector::Global().Configure(plan);
+    }
+    ~ScopedStratumLatency() { FaultInjector::Global().Disable(); }
+  } latency;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   const std::vector<EngineResult> results =
       engine->RunBatch(HotSourceMix(1, 16)).MoveValue();
@@ -275,8 +288,8 @@ TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
   // Per-sweep latency was sampled.
   EXPECT_GT(snapshot.sweep_p95_ms, 0.0);
   if (std::thread::hardware_concurrency() >= 2) {
-    // With real parallelism the 15 coalesced waiters overwhelmingly steal
-    // at least one of the 16 strata instead of all blocking.
+    // With real parallelism the 15 coalesced waiters steal at least one of
+    // the 16 strata instead of all blocking.
     EXPECT_GT(snapshot.strata_stolen, 0u);
   }
 }
